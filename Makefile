@@ -10,7 +10,9 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# One-shot gate (CI runs this on every push/PR): the tier-1 suite plus
+# One-shot gate (CI runs this on every push/PR): the tier-1 suite, the
+# perfbench self-tests (so a refactor that breaks what the benchmark
+# imports from the program fails here, not when the benchmark runs),
 # a quick-size bench whose behavior fingerprints must match the
 # committed baseline bit for bit — any simulated-outcome drift fails.
 # The bench's churn scenarios (one per overlay) also report their
@@ -55,6 +57,7 @@ test:
 # (informational; always exits 0).
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
+	$(PYTHON) -m pytest perfbench/tests -q
 	mkdir -p artifacts
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_throughput.py --quick --repeat 3 \
 		--baseline benchmarks/baselines/bench_quick_baseline.json --check
@@ -76,7 +79,7 @@ verify:
 		--report artifacts/audit-report-can.txt
 	PYTHONPATH=src $(PYTHON) -m repro run --nodes 4000 --subscriptions 400 \
 		--publications 400 --shards 2 --shard-profile \
-		--discretization 256 --cache 1024 --matcher vector \
+		--discretization 256 --cache 1024 \
 		--telemetry artifacts/sample-trace-shard.jsonl > /dev/null
 	PYTHONPATH=src $(PYTHON) -m repro report artifacts/sample-trace-shard.jsonl \
 		--mode shard > artifacts/shard-profile.txt

@@ -58,7 +58,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.config import ExperimentConfig  # noqa: E402
-from repro.matching import HAVE_NUMPY  # noqa: E402
 from repro.metrics.fingerprint import behavior_digest  # noqa: E402
 from repro.metrics.memory import peak_rss_bytes, reset_peak_rss  # noqa: E402
 from repro.sim.rng import RandomStreams  # noqa: E402
@@ -122,7 +121,6 @@ def build_config(spec: dict) -> ExperimentConfig:
         subscriptions=spec["subscriptions"],
         publications=spec["publications"],
         seed=SEED,
-        matcher="vector",
         discretization_width=DISCRETIZATION_WIDTH,
         cache_capacity=CACHE_CAPACITY,
         workload=WorkloadSpec(
@@ -380,7 +378,6 @@ def main(argv: list[str] | None = None) -> int:
             "platform": platform.platform(),
             "available_cpus": len(os.sched_getaffinity(0)),
             "storage_samples": STORAGE_SAMPLES,
-            "matcher": "vector" if HAVE_NUMPY else "vector(grid fallback)",
         },
         "scenarios": scenarios,
     }

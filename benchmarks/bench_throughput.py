@@ -205,17 +205,16 @@ def run_one(
     }
 
 
-def run_eqdense(nodes: int, subs: int, pubs: int, matcher: str) -> dict:
+def run_eqdense(nodes: int, subs: int, pubs: int) -> dict:
     """Equality-dense scenario: every attribute constrained to one value.
 
     ``selective_range_fraction`` small enough that the max interval span
-    is 1 turns every constraint into an equality — the radix matcher's
-    best case (exact block lookups) and the grid matcher's worst-ish
-    case (dense single-cell candidate lists).  Run once per matcher so
-    the output JSON carries a direct radix-vs-grid comparison on the
-    workload shape the radix engine was built for.
+    is 1 turns every constraint into an equality — the grid matcher's
+    worst-ish case (dense single-cell candidate lists), and the only
+    fingerprint of the grid on an equality-dense store.
     """
-    rng = random.Random(f"{SEED}:eqdense:{matcher}:{nodes}")
+    # The seed keeps its engine tag so the pinned fingerprint holds.
+    rng = random.Random(f"{SEED}:eqdense:grid:{nodes}")
     sim = Simulator()
     keyspace = KeySpace(BITS)
     overlay = ChordOverlay(sim, keyspace, cache_capacity=128)
@@ -224,7 +223,7 @@ def run_eqdense(nodes: int, subs: int, pubs: int, matcher: str) -> dict:
         selective_attributes=(0, 1, 2, 3),
         selective_range_fraction=1e-6,
     )
-    config = PubSubConfig(matcher=matcher)
+    config = PubSubConfig()
     space = SubscriptionGenerator(spec, random.Random(0)).space
     mapping_obj = make_mapping("selective-attribute", space, keyspace)
     system = PubSubSystem(sim, overlay, mapping_obj, config)
@@ -244,7 +243,7 @@ def run_eqdense(nodes: int, subs: int, pubs: int, matcher: str) -> dict:
     return {
         "nodes": nodes,
         "mapping": "selective-attribute",
-        "matcher": matcher,
+        "matcher": "grid",
         "subscriptions": subs,
         "publications": pubs,
         "wall_s": round(wall, 6),
@@ -557,9 +556,8 @@ def main(argv: list[str] | None = None) -> int:
         for nodes in sizes
         for mapping in MAPPINGS
     ]
-    runs.extend(
-        (f"eqdense-{matcher}-n{sizes[0]}", run_eqdense, (sizes[0], subs, pubs, matcher))
-        for matcher in ("grid", "radix")
+    runs.append(
+        (f"eqdense-grid-n{sizes[0]}", run_eqdense, (sizes[0], subs, pubs))
     )
     runs.append(
         (f"churn-n{churn_nodes}", run_churn, (churn_nodes, churn_subs, churn_pubs))
@@ -684,17 +682,13 @@ def main(argv: list[str] | None = None) -> int:
         if not delta:
             print("[check] FAIL: no shared scenarios with baseline", flush=True)
             return 1
-        # CAN scenarios are gated on the perf floor below (their hop
-        # sequences legitimately change when the routing fast path is
-        # tuned); every other overlay's fingerprint must stay
-        # bit-for-bit identical.  These scenarios run with telemetry —
-        # and so load metering — disabled, which makes this comparison
-        # the load observatory's zero-overhead gate: a stray load hook
-        # on the disabled path would perturb the event/message stream
-        # and flip the fingerprints.
-        mismatched = [
-            k for k, d in delta.items() if not d["metrics_equal"] and "can" not in k
-        ]
+        # Every overlay's fingerprint must stay bit-for-bit identical.
+        # These scenarios run with telemetry — and so load metering —
+        # disabled, which makes this comparison the load observatory's
+        # zero-overhead gate: a stray load hook on the disabled path
+        # would perturb the event/message stream and flip the
+        # fingerprints.
+        mismatched = [k for k, d in delta.items() if not d["metrics_equal"]]
         if mismatched:
             print(
                 f"[check] FAIL: behavior fingerprints diverged from baseline "
@@ -776,7 +770,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(
             f"[check] OK: {len(delta)} scenarios checked against baseline "
-            f"(non-CAN fingerprints identical, churn-can/flash-crowd "
+            f"(fingerprints identical, churn-can/flash-crowd "
             f"within the perf floor); churn scenarios patch "
             f"incrementally; covering collapses and preserves delivery",
             flush=True,

@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "partition (e.g. 0,1500,2600 — the rebalance "
                           "advisor's suggested cut points); requires "
                           "--shards > 1")
-    run.add_argument("--matcher", choices=["grid", "radix", "brute", "vector"],
+    run.add_argument("--matcher", choices=["grid", "brute"],
                      default="grid",
                      help="rendezvous matching engine")
     run.add_argument("--no-covering", action="store_true",

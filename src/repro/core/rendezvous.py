@@ -18,7 +18,6 @@ from repro.matching import (
     CoveringIndex,
     GridIndexMatcher,
     Matcher,
-    RadixBitmapMatcher,
 )
 
 
@@ -66,17 +65,14 @@ class SubscriptionStore:
 
     Args:
         space: The event space (needed when an indexed matcher is used).
-        matcher: ``"brute"``, ``"grid"``, ``"radix"``, or ``"vector"``
-            — which matching engine backs the store (``"radix"``
-            favors equality-dense subscription populations;
-            ``"vector"`` is the numpy-verified grid engine, falling
-            back to ``"grid"`` when numpy is unavailable).
+        matcher: ``"grid"`` (the indexed engine) or ``"brute"`` (the
+            reference oracle) — which matching engine backs the store.
         covering: Collapse covered subscriptions under a
             :class:`~repro.matching.covering.CoveringIndex` so the
             engine only sees the least-covered roots (see
             :meth:`match`).  ``None`` (the default) enables covering
-            for every engine except ``"brute"``, which stays the
-            uncollapsed oracle the others are audited against.
+            for ``"grid"`` and leaves ``"brute"`` the uncollapsed
+            oracle the grid is audited against.
     """
 
     def __init__(
@@ -88,12 +84,6 @@ class SubscriptionStore:
         self._entries: dict[int, StoredSubscription] = {}
         if matcher == "grid":
             self._matcher: Matcher = GridIndexMatcher(space)
-        elif matcher == "radix":
-            self._matcher = RadixBitmapMatcher(space)
-        elif matcher == "vector":
-            from repro.matching.vector import make_vector_matcher
-
-            self._matcher = make_vector_matcher(space)
         elif matcher == "brute":
             self._matcher = BruteForceMatcher()
         else:
@@ -254,7 +244,7 @@ class SubscriptionStore:
         roots are fanned into their covered subtrees by a pruned DFS
         (:meth:`~repro.matching.covering.CoveringIndex.expand`) and the
         combined result is returned in subscription-id order — the same
-        order the indexed engines already produce, so enabling covering
+        order the grid engine already produces, so enabling covering
         is invisible to the delivery stream.  Expiry stays lazy: expired
         entries are filtered here and removed afterwards (removing a
         covering root mid-match promotes its children for *future*

@@ -100,15 +100,14 @@ class PubSubConfig:
         failure_detection_delay: Seconds between a crash and replica
             promotion at the successor.
         matcher: Matching engine at rendezvous nodes: "grid" (default;
-            the indexed engine, O(candidates) per event), "radix" (the
-            radix-block index, best when stored constraints are mostly
-            equalities), or "brute" (the O(stored) reference oracle).
+            the indexed engine, O(candidates) per event) or "brute"
+            (the O(stored) reference oracle).
         covering: Collapse covered subscriptions at rendezvous nodes
             (:class:`~repro.matching.covering.CoveringIndex`) so the
             matching engine only sees the least-covered roots.  None
-            (default) enables covering with every engine except
-            "brute", which stays the uncollapsed oracle; True/False
-            force it on/off regardless of engine.
+            (default) enables covering with "grid" and leaves "brute"
+            the uncollapsed oracle; True/False force it on/off
+            regardless of engine.
         dedupe_notifications: Suppress duplicate (event, subscription)
             deliveries at the subscriber (the duplicate *messages* are
             still counted by the metrics).
@@ -314,7 +313,7 @@ class PubSubSystem:
             groups=groups,
         )
         request_id = self._send_to_keys(
-            node_id, keys, payload, MessageKind.SUBSCRIPTION
+            node_id, keys, payload, MessageKind.SUBSCRIPTION, next_request_id()
         )
         if self._auditor is not None:
             self._auditor.on_subscribe(subscription, node_id, payload.ttl, self.now)
@@ -327,7 +326,8 @@ class PubSubSystem:
             subscription_id=subscription.subscription_id, subscriber=node_id
         )
         request_id = self._send_to_keys(
-            node_id, keys, payload, MessageKind.UNSUBSCRIPTION
+            node_id, keys, payload, MessageKind.UNSUBSCRIPTION,
+            next_request_id(),
         )
         if self._auditor is not None:
             self._auditor.on_unsubscribe(subscription.subscription_id, self.now)
@@ -339,11 +339,16 @@ class PubSubSystem:
         payload = PublishPayload(
             event=event, publisher=node_id, published_at=self.now
         )
-        request_id = self._send_to_keys(
-            node_id, keys, payload, MessageKind.PUBLICATION
-        )
+        request_id = next_request_id()
+        # Register the publication before sending it: when the publisher
+        # is also a rendezvous node of a matching subscription (and its
+        # subscriber), the notification arrives synchronously inside
+        # the send, and the auditor must already expect it.
         if self._auditor is not None:
             self._auditor.on_publish(event, node_id, keys, request_id, self.now)
+        self._send_to_keys(
+            node_id, keys, payload, MessageKind.PUBLICATION, request_id
+        )
         return request_id
 
     # -- propagation -------------------------------------------------------------
@@ -354,8 +359,8 @@ class PubSubSystem:
         keys: frozenset[int],
         payload: object,
         kind: MessageKind,
+        request_id: int,
     ) -> int:
-        request_id = next_request_id()
         self.recorder.messages.begin_request(kind, request_id, self.now)
         message = OverlayMessage(
             kind=kind, payload=payload, request_id=request_id, origin=node_id

@@ -37,9 +37,7 @@ class ExperimentConfig:
         discretization_width: Section 4.3.3 interval width in attribute
             value units (1 = no discretization), applied uniformly.
         replication_factor: Successor replicas per stored subscription.
-        matcher: Rendezvous matching engine ("brute", "grid", "radix",
-            or "vector" — the numpy-vectorized grid engine, falling
-            back to "grid" when numpy is unavailable).
+        matcher: Rendezvous matching engine ("grid" or "brute").
         covering: Covering-aware rendezvous stores (None = on unless
             the matcher is "brute"; see
             :class:`~repro.core.system.PubSubConfig`).

@@ -5,26 +5,19 @@ from __future__ import annotations
 import dataclasses
 
 from repro.audit import AuditConfig, Auditor, AuditReport
-from repro.core.mappings import make_mapping
-from repro.core.mappings.base import Discretization
+from repro.core.events import Event
+from repro.core.mappings.base import AKMapping
+from repro.core.subscriptions import Subscription
 from repro.core.system import PubSubSystem
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.recorder import MetricsRecorder
 from repro.metrics.stats import Summary, summarize
 from repro.overlay.api import MessageKind
-from repro.overlay.can import CanOverlay
-from repro.overlay.chord import ChordOverlay
-from repro.overlay.ids import KeySpace
-from repro.overlay.pastry import PastryOverlay
 from repro.overlay.network import FixedDelay, Network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.shard import (
-    ShardRunReport,
-    build_shard_mapping,
-    ring_node_ids,
-    run_sharded,
-)
+from repro.sim.shard import ShardRunReport, run_sharded
+from repro.sim.stack import build_mapping, build_stack, ring_node_ids
 from repro.telemetry import Telemetry
 from repro.telemetry.profile import ShardProfiler
 from repro.workload.driver import WorkloadDriver
@@ -102,32 +95,50 @@ def build_system(
             uses the ambient (by default disabled, free) telemetry.
     """
     sim = Simulator()
-    keyspace = KeySpace(config.key_bits)
     network = Network(sim, FixedDelay(config.message_delay), telemetry=telemetry)
     if telemetry is not None and telemetry.enabled:
         sim.attach_telemetry(telemetry)
-    if config.overlay == "pastry":
-        overlay = PastryOverlay(sim, keyspace, network=network)
-    elif config.overlay == "can":
-        overlay = CanOverlay(sim, keyspace, network=network)
-    else:
-        overlay = ChordOverlay(
-            sim, keyspace, network=network, cache_capacity=config.cache_capacity
-        )
-    ring_rng = streams.stream("ring")
-    node_ids = ring_rng.sample(range(keyspace.size), config.nodes)
-    overlay.build_ring(node_ids)
-
-    space = config.workload.make_space()
-    discretization = Discretization.uniform(
-        space.dimensions, config.discretization_width
-    )
-    mapping_kwargs = {"discretization": discretization}
-    if config.mapping == "attribute-split":
-        mapping_kwargs["event_attribute"] = config.event_attribute
-    mapping = make_mapping(config.mapping, space, keyspace, **mapping_kwargs)
-    system = PubSubSystem(sim, overlay, mapping, config.pubsub_config())
+    system = build_stack(config, network, ring_node_ids(config, streams))
     return sim, system
+
+
+def _run_result(
+    config: ExperimentConfig,
+    recorder: MetricsRecorder,
+    mapping: AKMapping,
+    subscriptions: list[Subscription],
+    events: list[Event],
+    audit: AuditReport | None,
+    shard: ShardRunReport | None = None,
+) -> RunResult:
+    """Assemble a :class:`RunResult` from a finished run's recorder."""
+    sub_key_counts = [len(mapping.subscription_keys(s)) for s in subscriptions]
+    pub_key_counts = [len(mapping.event_keys(e)) for e in events]
+    messages = recorder.messages
+    return RunResult(
+        config=config,
+        recorder=recorder,
+        subscriptions_sent=len(subscriptions),
+        publications_sent=len(events),
+        sub_hops=summarize(messages.hops_per_request(MessageKind.SUBSCRIPTION)),
+        pub_hops=summarize(messages.hops_per_request(MessageKind.PUBLICATION)),
+        notify_hops=summarize(
+            messages.hops_per_request(MessageKind.NOTIFICATION)
+        ),
+        notification_messages=messages.total_sends(MessageKind.NOTIFICATION)
+        + messages.total_sends(MessageKind.COLLECT),
+        max_subscriptions_per_node=recorder.storage.peak_max_per_node(),
+        mean_subscriptions_per_node=recorder.storage.peak_mean_per_node(),
+        keys_per_subscription=(
+            sum(sub_key_counts) / len(sub_key_counts) if sub_key_counts else 0.0
+        ),
+        keys_per_publication=(
+            sum(pub_key_counts) / len(pub_key_counts) if pub_key_counts else 0.0
+        ),
+        notification_delay=recorder.notification_delay_summary(),
+        audit=audit,
+        shard=shard,
+    )
 
 
 def run_sharded_experiment(
@@ -143,8 +154,7 @@ def run_sharded_experiment(
     materialized up front so every shard schedules its slice
     identically) and executed by :func:`repro.sim.shard.run_sharded`.
     Structural audit probes are replaced by the post-hoc delivery
-    oracle replay; everything else in the result mirrors
-    :func:`run_experiment`.
+    oracle replay; the result is assembled like a serial run's.
     """
     streams = RandomStreams(config.seed)
     node_ids = ring_node_ids(config)
@@ -169,42 +179,13 @@ def run_sharded_experiment(
         profile=profiler,
         cuts=config.shard_cuts,
     )
-    recorder = outcome.recorder
-    mapping = build_shard_mapping(config)
-    subscriptions = [
-        op.subscription for op in trace.ops if op.kind == "sub"
-    ]
-    events = [op.event for op in trace.ops if op.kind == "pub"]
-    sub_key_counts = [len(mapping.subscription_keys(s)) for s in subscriptions]
-    pub_key_counts = [len(mapping.event_keys(e)) for e in events]
-    notify_total = recorder.messages.total_sends(
-        MessageKind.NOTIFICATION
-    ) + recorder.messages.total_sends(MessageKind.COLLECT)
-    return RunResult(
-        config=config,
-        recorder=recorder,
-        subscriptions_sent=len(subscriptions),
-        publications_sent=len(events),
-        sub_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.SUBSCRIPTION)
-        ),
-        pub_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.PUBLICATION)
-        ),
-        notify_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.NOTIFICATION)
-        ),
-        notification_messages=notify_total,
-        max_subscriptions_per_node=recorder.storage.peak_max_per_node(),
-        mean_subscriptions_per_node=recorder.storage.peak_mean_per_node(),
-        keys_per_subscription=(
-            sum(sub_key_counts) / len(sub_key_counts) if sub_key_counts else 0.0
-        ),
-        keys_per_publication=(
-            sum(pub_key_counts) / len(pub_key_counts) if pub_key_counts else 0.0
-        ),
-        notification_delay=recorder.notification_delay_summary(),
-        audit=outcome.audit,
+    return _run_result(
+        config,
+        outcome.recorder,
+        build_mapping(config),
+        [op.subscription for op in trace.ops if op.kind == "sub"],
+        [op.event for op in trace.ops if op.kind == "pub"],
+        outcome.audit,
         shard=outcome,
     )
 
@@ -263,42 +244,11 @@ def run_experiment(
     system.snapshot_storage()
     if telemetry is not None and telemetry.enabled:
         telemetry.sample(sim.now)  # final state after the horizon
-    audit_report = auditor.finalize() if auditor is not None else None
-
-    recorder = system.recorder
-    mapping = system.mapping
-    sub_key_counts = [
-        len(mapping.subscription_keys(s)) for s in driver.injected_subscriptions
-    ]
-    pub_key_counts = [len(mapping.event_keys(e)) for e in driver.injected_events]
-    keys_per_pub = (
-        sum(pub_key_counts) / len(pub_key_counts) if pub_key_counts else 0.0
-    )
-
-    notify_total = recorder.messages.total_sends(
-        MessageKind.NOTIFICATION
-    ) + recorder.messages.total_sends(MessageKind.COLLECT)
-    return RunResult(
-        config=config,
-        recorder=recorder,
-        subscriptions_sent=driver.subscriptions_sent,
-        publications_sent=driver.publications_sent,
-        sub_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.SUBSCRIPTION)
-        ),
-        pub_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.PUBLICATION)
-        ),
-        notify_hops=summarize(
-            recorder.messages.hops_per_request(MessageKind.NOTIFICATION)
-        ),
-        notification_messages=notify_total,
-        max_subscriptions_per_node=recorder.storage.peak_max_per_node(),
-        mean_subscriptions_per_node=recorder.storage.peak_mean_per_node(),
-        keys_per_subscription=(
-            sum(sub_key_counts) / len(sub_key_counts) if sub_key_counts else 0.0
-        ),
-        keys_per_publication=keys_per_pub,
-        notification_delay=recorder.notification_delay_summary(),
-        audit=audit_report,
+    return _run_result(
+        config,
+        system.recorder,
+        system.mapping,
+        driver.injected_subscriptions,
+        driver.injected_events,
+        auditor.finalize() if auditor is not None else None,
     )

@@ -45,20 +45,13 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.audit import AuditConfig, Auditor, AuditReport
-from repro.core.mappings import make_mapping
-from repro.core.mappings.base import AKMapping, Discretization
-from repro.core.system import PubSubSystem
 from repro.errors import ConfigurationError
 from repro.metrics.memory import peak_rss_bytes, reset_peak_rss
 from repro.metrics.recorder import MetricsRecorder
 from repro.overlay import api as overlay_api
-from repro.overlay.can import CanOverlay
-from repro.overlay.chord import ChordOverlay
-from repro.overlay.ids import KeySpace
 from repro.overlay.network import FixedDelay, ShardNetwork
-from repro.overlay.pastry import PastryOverlay
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
+from repro.sim.stack import build_mapping, build_stack, ring_node_ids
 from repro.telemetry import Telemetry, current as current_telemetry
 from repro.telemetry.profile import ShardProfiler
 
@@ -73,20 +66,9 @@ logger = logging.getLogger(__name__)
 LOAD_IMBALANCE_THRESHOLD = 2.0
 
 
-def ring_node_ids(config: "ExperimentConfig") -> list[int]:
-    """The run's ring membership, in the serial builder's sample order.
-
-    Every worker must insert the same ids in the same order (the CAN
-    tessellation depends on insertion order), and the workload trace
-    must draw injection nodes from the same population — so the
-    ``ring`` substream sample of
-    :func:`repro.experiments.runner.build_system` is reproduced here
-    verbatim.
-    """
-    keyspace = KeySpace(config.key_bits)
-    return RandomStreams(config.seed).stream("ring").sample(
-        range(keyspace.size), config.nodes
-    )
+#: The mapping recipe under its older name, which code outside the
+#: package (the perfbench harness) still imports from here.
+build_shard_mapping = build_mapping
 
 
 def partition_ring(
@@ -204,33 +186,14 @@ class ShardResult:
     node_sends: dict[int, int] | None = None
 
 
-def build_shard_mapping(config: "ExperimentConfig") -> AKMapping:
-    """The ak-mapping for one configuration (shared build recipe).
-
-    Workers, the audit replay and the result assembly all need the
-    mapping; this mirrors :func:`repro.experiments.runner.build_system`
-    exactly so keys agree across every copy.
-    """
-    keyspace = KeySpace(config.key_bits)
-    space = config.workload.make_space()
-    discretization = Discretization.uniform(
-        space.dimensions, config.discretization_width
-    )
-    mapping_kwargs: dict[str, object] = {"discretization": discretization}
-    if config.mapping == "attribute-split":
-        mapping_kwargs["event_attribute"] = config.event_attribute
-    return make_mapping(config.mapping, space, keyspace, **mapping_kwargs)
-
-
 class ShardWorker:
     """One shard's full simulation stack plus its barrier protocol.
 
-    The stack mirrors :func:`repro.experiments.runner.build_system`
-    bit for bit — same construction order, same overlay parameters —
-    except the network is a :class:`ShardNetwork` and only the local
-    arc's node objects are materialized (``build_ring(..., local=...)``
-    records full ring membership everywhere so routing geometry agrees,
-    but registers handlers and pub/sub state for local ids only).
+    The stack comes from the same :func:`~repro.sim.stack.build_stack`
+    recipe as a serial run, over a :class:`ShardNetwork` and with only
+    the local arc's node objects materialized (the ring records full
+    membership everywhere so routing geometry agrees, but registers
+    handlers and pub/sub state for local ids only).
     """
 
     def __init__(
@@ -250,22 +213,10 @@ class ShardWorker:
         # K=1 degenerates to the serial count(1) stream.
         self._counter = itertools.count(shard + 1, num_shards)
         sim = Simulator()
-        keyspace = KeySpace(config.key_bits)
         network = ShardNetwork(
             sim, FixedDelay(config.message_delay), local=local
         )
-        if config.overlay == "pastry":
-            overlay = PastryOverlay(sim, keyspace, network=network)
-        elif config.overlay == "can":
-            overlay = CanOverlay(sim, keyspace, network=network)
-        else:
-            overlay = ChordOverlay(
-                sim, keyspace, network=network,
-                cache_capacity=config.cache_capacity,
-            )
-        overlay.build_ring(ring_ids, local=local)
-        mapping = build_shard_mapping(config)
-        system = PubSubSystem(sim, overlay, mapping, config.pubsub_config())
+        system = build_stack(config, network, ring_ids, local)
         self.tap: AuditTap | None = None
         if audit:
             self.tap = AuditTap()
@@ -483,7 +434,7 @@ def replay_audit(
     was already serially verified by the K=1 parity contract).
     """
     sim = Simulator()
-    mapping = build_shard_mapping(config)
+    mapping = build_mapping(config)
     shim = _ReplaySystem(
         sim, mapping, config.pubsub_config(), config.nodes, recorder, telemetry
     )

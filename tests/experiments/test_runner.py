@@ -1,5 +1,11 @@
 """The experiment runner: determinism and result plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.core.system import RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -59,3 +65,22 @@ def test_zero_publications():
     assert result.publications_sent == 0
     assert result.notification_hops_per_publication == 0.0
     assert result.keys_per_publication == 0.0
+
+
+def test_core_path_does_not_import_numpy():
+    """The serial runner and the shard kernel stay pure-stdlib.
+
+    Both import orders are tried, which also pins that the two modules
+    import each other's dependencies without a cycle.
+    """
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for first, second in (
+        ("repro.experiments.runner", "repro.sim.shard"),
+        ("repro.sim.shard", "repro.experiments.runner"),
+    ):
+        code = (
+            f"import sys, {first}, {second}; "
+            "sys.exit('numpy' in sys.modules)"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

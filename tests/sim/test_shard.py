@@ -299,6 +299,26 @@ def test_shard_property_small_rings(seed, overlay, shards):
     assert many.audit is not None and many.audit.violations == []
 
 
+@pytest.mark.parametrize(
+    "overlay,seed",
+    [("chord", 40), ("chord", 288), ("pastry", 40), ("can", 111), ("can", 288)],
+)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_self_notifying_publisher_is_audited_clean(overlay, seed, shards):
+    """Seeds where a publisher is its own rendezvous node and subscriber.
+
+    Its notification arrives synchronously inside ``publish``; the
+    oracle must already expect it, or it reports a missed delivery.
+    """
+    config = ExperimentConfig(
+        overlay=overlay, nodes=60, subscriptions=40, publications=30,
+        seed=seed,
+    )
+    outcome = run_sharded(config, _make_trace(config), shards, mode="inline",
+                          audit=AuditConfig())
+    assert outcome.audit is not None and outcome.audit.violations == []
+
+
 # -- configuration and runner dispatch --------------------------------------
 
 

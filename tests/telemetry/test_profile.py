@@ -314,7 +314,7 @@ def _skewed_config(**overrides) -> ExperimentConfig:
     temporal locality concentrate rendezvous traffic on a few keys."""
     return ExperimentConfig(
         nodes=300, subscriptions=100, publications=250, seed=11,
-        discretization_width=16, matcher="vector",
+        discretization_width=16,
         workload=WorkloadSpec(
             selective_attributes=(0, 1), zipf_exponent=2.0,
             temporal_locality=0.9, constraint_probability=0.5,
