@@ -40,6 +40,13 @@ Every other scenario runs telemetry-disabled, so the ``--check``
 fingerprint comparison doubles as the observatory's zero-overhead
 gate.
 
+The perf floors are machine-portable: a calibration leg (a fixed
+pure-Python loop, timed before each scenario in the same process; the
+fastest round is kept) is recorded as ``meta.calibration_s``, and
+``--check`` compares events/s x calibration seconds against the
+baseline's same product, never raw events/s measured on another
+machine.
+
 Usage:
     PYTHONPATH=src python benchmarks/bench_throughput.py --out BENCH_PR1.json
     PYTHONPATH=src python benchmarks/bench_throughput.py --quick
@@ -479,6 +486,25 @@ def best_of(repeat: int, fn, *args) -> dict:
     return best
 
 
+def calibrate(rounds: int = 5) -> float:
+    """Fastest seconds of a fixed pure-Python loop: the machine-speed leg.
+
+    The loop of ``perfbench.harness.calibrate``.  The fastest round is
+    kept, as :func:`best_of` keeps the fastest wall clock, so both sides
+    of the calibrated ratio filter noise the same way.
+    """
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        acc = 0
+        table: dict[int, int] = {}
+        for i in range(200_000):
+            acc = (acc * 31 + i) & 0xFFFFFFFF
+            table[i & 1023] = acc
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def profiled(fn, *args) -> dict:
     """Run one scenario under cProfile and print the top entries."""
     profiler = cProfile.Profile()
@@ -594,7 +620,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no scenario key contains {args.scenario!r}")
 
     scenarios: dict[str, dict] = {}
+    # One calibration leg before each scenario, so the recorded machine
+    # speed spans the whole run rather than one moment of it.
+    calibration = float("inf")
     for key, runner, run_args in runs:
+        calibration = min(calibration, calibrate())
         print(f"[bench] {key}: ...", flush=True)
         if args.profile:
             print(f"[profile] {key}:", flush=True)
@@ -617,12 +647,14 @@ def main(argv: list[str] | None = None) -> int:
             "quick": args.quick,
             "python": platform.python_version(),
             "platform": platform.platform(),
+            "calibration_s": round(calibration, 6),
         },
         "scenarios": scenarios,
     }
 
     if baseline is not None:
         base_scenarios = baseline.get("scenarios", {})
+        base_calibration = (baseline.get("meta") or {}).get("calibration_s")
         delta = {}
         for key, after in scenarios.items():
             before = base_scenarios.get(key)
@@ -641,12 +673,20 @@ def main(argv: list[str] | None = None) -> int:
                 if before["app_msgs_per_s"]
                 else None
             )
+            # Events per calibration-loop time: the machine-portable rate.
+            calibrated = (
+                after["sim_events_per_s"] * calibration
+                / (before["sim_events_per_s"] * base_calibration)
+                if base_calibration and before["sim_events_per_s"]
+                else None
+            )
             delta[key] = {
                 "before_sim_events_per_s": before["sim_events_per_s"],
                 "after_sim_events_per_s": after["sim_events_per_s"],
                 "before_wall_s": before["wall_s"],
                 "after_wall_s": after["wall_s"],
                 "speedup": round(speedup, 3) if speedup else None,
+                "calibrated_speedup": round(calibrated, 3) if calibrated else None,
                 "wall_speedup": round(wall_speedup, 3) if wall_speedup else None,
                 "app_msgs_speedup": round(msgs_speedup, 3) if msgs_speedup else None,
                 "metrics_equal": (
@@ -667,6 +707,7 @@ def main(argv: list[str] | None = None) -> int:
         for key, d in delta.items():
             print(
                 f"[delta] {key}: events/s {d['speedup']}x "
+                f"calibrated {d['calibrated_speedup']}x "
                 f"wall {d['wall_speedup']}x msgs/s {d['app_msgs_speedup']}x "
                 f"metrics_equal={d['metrics_equal']}",
                 flush=True,
@@ -697,23 +738,33 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
         # Perf floors: the CAN fast path and the flash-crowd hot path
-        # (covering + observatory) must not silently regress.  The
-        # quick baseline records the machine it ran on; same-machine CI
-        # runs must stay within 5% of its throughput on these keys.
+        # (covering + observatory) must not silently regress.  Both runs
+        # are scaled by their own calibration leg (events/s x loop
+        # seconds), so the floor does not depend on which machine
+        # recorded the baseline: within 5% of its calibrated throughput.
+        if not base_calibration:
+            print(
+                "[check] FAIL: baseline meta has no calibration_s; "
+                "re-record it with this harness",
+                flush=True,
+            )
+            return 1
         slowed = [
             (k, d)
             for k, d in delta.items()
             if k.startswith(("churn-can", "flash-crowd"))
             and d["before_sim_events_per_s"]
-            and d["after_sim_events_per_s"]
-            < 0.95 * d["before_sim_events_per_s"]
+            and d["after_sim_events_per_s"] * calibration
+            < 0.95 * d["before_sim_events_per_s"] * base_calibration
         ]
         if slowed:
             for key, d in slowed:
                 print(
                     f"[check] FAIL: {key} throughput regressed: "
-                    f"{d['after_sim_events_per_s']:,} events/s < 0.95 x "
-                    f"baseline {d['before_sim_events_per_s']:,}",
+                    f"{d['after_sim_events_per_s']:,} events/s x "
+                    f"{calibration:.4f}s calibration < 0.95 x baseline "
+                    f"{d['before_sim_events_per_s']:,} events/s x "
+                    f"{base_calibration:.4f}s",
                     flush=True,
                 )
             return 1
@@ -771,7 +822,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"[check] OK: {len(delta)} scenarios checked against baseline "
             f"(fingerprints identical, churn-can/flash-crowd "
-            f"within the perf floor); churn scenarios patch "
+            f"within the calibrated perf floor); churn scenarios patch "
             f"incrementally; covering collapses and preserves delivery",
             flush=True,
         )

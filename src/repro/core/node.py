@@ -95,9 +95,8 @@ class PubSubNode:
 
     def _covered_targets(self, message: OverlayMessage) -> set[int]:
         """The rendezvous keys (of this message) that this node covers."""
-        overlay = self._system.overlay
         if message.target_keys is not None:
-            return {k for k in message.target_keys if overlay.covers(self.id, k)}
+            return self._system.overlay.covered_keys(self.id, message.target_keys)
         assert message.key is not None
         return {message.key}
 
@@ -109,7 +108,9 @@ class PubSubNode:
         entry = self.store.put(payload, keys_here, now)
         if self._load is not None:
             self._load.on_subscription_stored(self.id, keys_here)
-        self._system.replicate_entry(self.id, entry.snapshot())
+        system = self._system
+        if system.config.replication_factor > 0:
+            system.replicate_entry(self.id, entry.snapshot())
 
     def _handle_unsubscribe(self, payload: UnsubscribePayload) -> None:
         if self.store.remove(payload.subscription_id):

@@ -9,6 +9,7 @@ expiration times (the paper's stand-in for unsubscriptions, Section
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.core.events import Event, EventSpace
 from repro.core.payloads import StoredEntrySnapshot, SubscribePayload
@@ -82,6 +83,9 @@ class SubscriptionStore:
         covering: bool | None = None,
     ) -> None:
         self._entries: dict[int, StoredSubscription] = {}
+        # Lower bound on the earliest expiry of any entry: nothing can
+        # have expired before it, so a purge below it skips the scan.
+        self._expiry_floor = math.inf
         if matcher == "grid":
             self._matcher: Matcher = GridIndexMatcher(space)
         elif matcher == "brute":
@@ -150,6 +154,8 @@ class SubscriptionStore:
         sid = payload.subscription.subscription_id
         if expire_at is None and payload.ttl is not None:
             expire_at = now + payload.ttl
+        if expire_at is not None and expire_at < self._expiry_floor:
+            self._expiry_floor = expire_at
         entry = self._entries.get(sid)
         if entry is None:
             entry = StoredSubscription(
@@ -160,7 +166,12 @@ class SubscriptionStore:
             if covering is None:
                 self._matcher.add(payload.subscription)
             else:
-                became_root, demoted = covering.add(payload.subscription)
+                # The engine holds exactly the forest's roots, so its
+                # candidate query bounds the covering search.
+                became_root, demoted = covering.add(
+                    payload.subscription,
+                    self._matcher.covering_candidates(payload.subscription),
+                )
                 if became_root:
                     self._matcher.add(payload.subscription)
                     for demoted_id in demoted:
@@ -222,12 +233,21 @@ class SubscriptionStore:
 
     def purge_expired(self, now: float) -> int:
         """Drop every expired entry; returns how many were removed."""
-        # Storage snapshots call this across the whole ring; at scale
-        # almost every store is empty, so the early-out is the
-        # difference between O(samples) and O(samples * nodes).
-        if not self._entries:
+        # Storage snapshots call this across the whole ring; below the
+        # expiry floor nothing can have expired, so no scan is needed.
+        if now < self._expiry_floor:
             return 0
-        expired = [sid for sid, e in self._entries.items() if e.expired(now)]
+        expired = []
+        floor = math.inf
+        for sid, entry in self._entries.items():
+            expire_at = entry.expire_at
+            if expire_at is None:
+                continue
+            if now >= expire_at:
+                expired.append(sid)
+            elif expire_at < floor:
+                floor = expire_at
+        self._expiry_floor = floor
         for sid in expired:
             self.remove(sid)
         return len(expired)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from typing import Collection
 
 from repro.core.events import Event
 from repro.core.subscriptions import Subscription
@@ -29,6 +30,15 @@ class Matcher(abc.ABC):
     @abc.abstractmethod
     def match(self, event: Event) -> list[Subscription]:
         """All stored subscriptions the event satisfies."""
+
+    @abc.abstractmethod
+    def covering_candidates(self, subscription: Subscription) -> Collection[int]:
+        """Ids of stored subscriptions that may cover, or be covered by,
+        ``subscription``.
+
+        A superset of both covering directions; the caller tests each
+        candidate exactly.  Never counted as a ``match()``.
+        """
 
     @abc.abstractmethod
     def __len__(self) -> int:

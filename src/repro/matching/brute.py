@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Collection
+
 from repro.core.events import Event
 from repro.core.subscriptions import Subscription
 from repro.matching.base import Matcher
@@ -28,6 +30,10 @@ class BruteForceMatcher(Matcher):
             work.verified += len(self._subscriptions)
             work.matched += len(matched)
         return matched
+
+    def covering_candidates(self, subscription: Subscription) -> Collection[int]:
+        # No index to consult: every stored subscription is a candidate.
+        return self._subscriptions.keys()
 
     def __len__(self) -> int:
         return len(self._subscriptions)

@@ -30,11 +30,25 @@ subscriptions it covers:
   caller re-installs them into the matching engine (the
   ``promotions`` counter tracks this re-expansion).
 
-All orders are deterministic (insertion order scans, LIFO DFS), so a
-seeded run produces an identical forest and match stream every time.
+An install tests only *candidate* roots, never the whole root set.
+The caller's matching engine holds exactly the roots, and its
+:meth:`~repro.matching.base.Matcher.covering_candidates` query returns
+a superset of the roots that can cover the newcomer or be covered by
+it.  On the grid that is every root whose anchor-attribute buckets
+overlap the newcomer's effective range on that attribute, plus the
+catch-all: a coverer's anchor range contains the newcomer's range
+there, and a covered root's anchor range lies inside it.
+
+All orders are deterministic, so a seeded run produces an identical
+forest and match stream every time: the first covering root in root
+insertion order wins, demoted roots keep root insertion order (when
+two or more candidates hit, one pass over the roots restores it), and
+expansion is a LIFO DFS.
 """
 
 from __future__ import annotations
+
+from typing import Collection
 
 from repro.core.events import Event
 from repro.core.subscriptions import Subscription
@@ -64,7 +78,7 @@ class CoveringIndex:
     def __init__(self) -> None:
         self._subs: dict[int, Subscription] = {}
         # Insertion-ordered root set; values are the subscriptions so
-        # the coverer scan needs no second lookup.
+        # candidate tests need no second lookup.
         self._roots: dict[int, Subscription] = {}
         self._parent: dict[int, int] = {}
         self._children: dict[int, list[int]] = {}
@@ -95,8 +109,15 @@ class CoveringIndex:
         """Current roots in insertion order."""
         return list(self._roots.values())
 
-    def add(self, subscription: Subscription) -> tuple[bool, list[int]]:
+    def add(
+        self, subscription: Subscription, candidates: Collection[int]
+    ) -> tuple[bool, list[int]]:
         """Insert a subscription into the forest.
+
+        ``candidates`` are the root ids that may cover, or be covered
+        by, the newcomer (the matching engine's
+        :meth:`~repro.matching.base.Matcher.covering_candidates` over
+        the roots); only they are tested.
 
         Returns ``(became_root, demoted_ids)``: when ``became_root`` is
         True the caller must add the subscription to its matching
@@ -109,15 +130,17 @@ class CoveringIndex:
         if sid in self._subs:
             raise ValueError(f"subscription {sid} already indexed")
         self._subs[sid] = subscription
-        # First covering root wins (deterministic insertion-order scan),
-        # then descend greedily to the deepest coverer on that branch so
-        # chains like [0,9] ⊒ [2,7] ⊒ [3,5] nest instead of fanning out.
-        parent = -1
-        for root_id, root_sub in self._roots.items():
-            if root_sub.covers(subscription):
-                parent = root_id
-                break
-        if parent >= 0:
+        roots = self._roots
+        # First covering root in insertion order wins, then descend
+        # greedily to the deepest coverer on that branch so chains like
+        # [0,9] ⊒ [2,7] ⊒ [3,5] nest instead of fanning out.
+        coverers = [rid for rid in candidates if roots[rid].covers(subscription)]
+        if coverers:
+            parent = (
+                coverers[0]
+                if len(coverers) == 1
+                else self._in_root_order(coverers)[0]
+            )
             subs = self._subs
             children = self._children
             while True:
@@ -133,22 +156,25 @@ class CoveringIndex:
             self._children.setdefault(parent, []).append(sid)
             self.collapsed_total += 1
             return False, []
-        # New root: any existing roots it covers collapse beneath it
-        # (their own subtrees ride along untouched).
-        demoted = [
-            root_id
-            for root_id, root_sub in self._roots.items()
-            if subscription.covers(root_sub)
-        ]
+        # New root: any existing roots it covers collapse beneath it, in
+        # root insertion order (their own subtrees ride along untouched).
+        demoted = [rid for rid in candidates if subscription.covers(roots[rid])]
         if demoted:
+            if len(demoted) > 1:
+                demoted = self._in_root_order(demoted)
             kids = self._children.setdefault(sid, [])
             for root_id in demoted:
-                del self._roots[root_id]
+                del roots[root_id]
                 self._parent[root_id] = sid
                 kids.append(root_id)
             self.collapsed_total += len(demoted)
-        self._roots[sid] = subscription
+        roots[sid] = subscription
         return True, demoted
+
+    def _in_root_order(self, root_ids: list[int]) -> list[int]:
+        """``root_ids`` sorted by root insertion order (one pass)."""
+        wanted = set(root_ids)
+        return [rid for rid in self._roots if rid in wanted]
 
     def remove(self, subscription_id: int) -> tuple[bool, list[Subscription]]:
         """Drop a subscription, repairing the forest around it.

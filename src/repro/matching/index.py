@@ -53,7 +53,8 @@ class GridIndexMatcher(Matcher):
         sid = subscription.subscription_id
         if sid in self._subscriptions:
             return
-        if subscription.space != self._space:
+        space = subscription.space
+        if space is not self._space and space != self._space:
             raise DataModelError("subscription space differs from index space")
         self._subscriptions[sid] = subscription
         if not subscription.constraints:
@@ -116,6 +117,41 @@ class GridIndexMatcher(Matcher):
             work.verified += len(candidates)
             work.matched += len(matched)
         return matched
+
+    def covering_candidates(self, subscription: Subscription) -> set[int]:
+        """Indexed ids whose anchor range may meet ``subscription``'s.
+
+        On each attribute, the ids anchored there whose buckets overlap
+        ``subscription``'s effective range (the full domain when it is
+        unconstrained), plus the catch-all.  That is a superset of both
+        covering directions: a coverer's anchor range contains the
+        subscription's range on that attribute, a covered subscription's
+        anchor range lies inside it, and a subscription with no
+        constraints sits in the catch-all.  A range spanning more
+        buckets than are occupied walks the occupied ones instead.
+        """
+        found = set(self._catch_all)
+        widths = self._widths
+        ranges = {c.attribute: c for c in subscription.constraints}
+        for attribute, buckets in enumerate(self._grid):
+            if not buckets:
+                continue
+            constraint = ranges.get(attribute)
+            if constraint is None:
+                first, last = 0, self._bucket_count
+            else:
+                first = constraint.low // widths[attribute]
+                last = constraint.high // widths[attribute]
+            if last - first < len(buckets):
+                for bucket in range(first, last + 1):
+                    members = buckets.get(bucket)
+                    if members:
+                        found.update(members)
+            else:
+                for bucket, members in buckets.items():
+                    if first <= bucket <= last:
+                        found.update(members)
+        return found
 
     def __len__(self) -> int:
         return len(self._subscriptions)

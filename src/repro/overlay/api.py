@@ -19,7 +19,7 @@ import abc
 import dataclasses
 import enum
 import itertools
-from typing import Any, Protocol
+from typing import Any, Iterable, Protocol
 
 from repro.overlay.ids import KeySpace
 
@@ -225,6 +225,10 @@ class OverlayNetwork(abc.ABC):
         decide which rendezvous keys of a delivered message it hosts.
         """
         return self.owner_of(key) == node_id
+
+    def covered_keys(self, node_id: int, keys: Iterable[int]) -> set[int]:
+        """The subset of ``keys`` that ``node_id`` currently covers."""
+        return {key for key in keys if self.covers(node_id, key)}
 
     @abc.abstractmethod
     def neighbor_of(self, node_id: int, side: NeighborSide) -> int:

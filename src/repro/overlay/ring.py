@@ -406,6 +406,25 @@ class RingOverlay(MembershipDeltaLog, OverlayNetwork):
             append(ring[index] if index < count else first)
         return owners
 
+    def covered_keys(self, node_id: int, keys: Iterable[int]) -> set[int]:
+        """The keys in ``(predecessor, node_id]``, for already-validated keys.
+
+        One predecessor lookup, then the same arc test per key that
+        ``ChordNode.covers`` inlines, instead of one ``owner_of`` bisect
+        per key.  A node that is not live covers nothing; the sole node
+        of a one-node ring covers everything.
+        """
+        ring = self._ring
+        index = bisect.bisect_left(ring, node_id)
+        if index >= len(ring) or ring[index] != node_id:
+            return set()
+        predecessor = ring[index - 1]
+        if predecessor == node_id:
+            return set(keys)
+        size = self._keyspace.size
+        span = (node_id - predecessor) % size
+        return {key for key in keys if 0 < (key - predecessor) % size <= span}
+
     def successor_of(self, node_id: int) -> int:
         """The live node following ``node_id`` on the ring."""
         index = self._ring_index(node_id)

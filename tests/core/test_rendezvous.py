@@ -117,3 +117,60 @@ def test_grid_matcher_backend():
 def test_unknown_matcher_rejected():
     with pytest.raises(ValueError):
         SubscriptionStore(SPACE, matcher="magic")
+
+
+class _Untouchable(dict):
+    """An entry table that fails any scan (the purge early-out must not
+    look at the entries at all)."""
+
+    def items(self):
+        raise AssertionError("purge scanned the store")
+
+    values = __iter__ = items
+
+
+def test_purge_below_earliest_expiry_does_not_scan():
+    store = SubscriptionStore(SPACE)
+    store.put(make_payload(ttl=10.0), {1}, now=0.0)
+    store.put(make_payload(ttl=None), {1}, now=0.0)
+    store._entries = _Untouchable(store._entries)
+    assert store.purge_expired(now=9.999) == 0
+    assert len(store) == 2
+
+
+def test_purge_exactly_at_and_after_the_earliest_expiry():
+    store = SubscriptionStore(SPACE)
+    first = make_payload(ttl=10.0)
+    second = make_payload(ttl=20.0)
+    store.put(first, {1}, now=0.0)
+    store.put(second, {1}, now=0.0)
+    store.put(make_payload(ttl=None), {1}, now=0.0)
+    assert store.purge_expired(now=9.5) == 0
+    assert store.purge_expired(now=10.0) == 1
+    assert first.subscription.subscription_id not in store
+    assert store.purge_expired(now=19.0) == 0
+    assert store.purge_expired(now=25.0) == 1
+    assert second.subscription.subscription_id not in store
+    assert store.live_count(now=1e9) == 1
+
+
+def test_restore_with_an_earlier_expiry_lowers_the_purge_bound():
+    store = SubscriptionStore(SPACE)
+    store.put(make_payload(ttl=50.0), {1}, now=0.0)
+    assert store.purge_expired(now=5.0) == 0
+    donor = SubscriptionStore(SPACE)
+    early = donor.put(make_payload(ttl=10.0), {2}, now=0.0)
+    store.restore(early.snapshot())  # absolute expiry 10.0 < 50.0
+    assert store.purge_expired(now=10.0) == 1
+    assert early.subscription.subscription_id not in store
+    assert len(store) == 1
+
+
+def test_refresh_to_a_later_expiry_keeps_the_purge_exact():
+    store = SubscriptionStore(SPACE)
+    payload = make_payload(ttl=10.0)
+    store.put(payload, {1}, now=0.0)
+    store.put(payload, {1}, now=8.0)  # refresh: expires at 18.0 now
+    assert store.purge_expired(now=12.0) == 0
+    assert store.purge_expired(now=17.9) == 0
+    assert store.purge_expired(now=18.0) == 1

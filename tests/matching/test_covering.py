@@ -13,9 +13,13 @@ covered subscriptions is invisible to delivery:
 3. a hypothesis state machine driving a covering grid store and an
    uncollapsed brute store through random install / refresh / expire /
    unsubscribe / churn interleavings, asserting both match the exact
-   same subscriber set at every step.
+   same subscriber set at every step;
+4. a second state machine pinning the forest that candidate queries
+   build (grid and brute engines) to a test-only reference that scans
+   every root: same root order, parents and child lists at every step.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -109,15 +113,20 @@ class TestCoversLaws:
         assert partial.covers(partial)
 
 
+def add(index: CoveringIndex, sub: Subscription):
+    """``CoveringIndex.add`` with every current root as a candidate."""
+    return index.add(sub, [root.subscription_id for root in index.roots()])
+
+
 class TestCoveringIndexSurgery:
     def test_collapse_under_deepest_coverer(self):
         index = CoveringIndex()
         wide = build({0: (0, 5)})
         mid = build({0: (1, 4)})
         narrow = build({0: (2, 3)})
-        assert index.add(wide) == (True, [])
-        assert index.add(mid) == (False, [])
-        assert index.add(narrow) == (False, [])
+        assert add(index, wide) == (True, [])
+        assert add(index, mid) == (False, [])
+        assert add(index, narrow) == (False, [])
         assert index.root_count == 1
         assert index.collapsed_count == 2
         assert index.collapsed_total == 2
@@ -126,10 +135,10 @@ class TestCoveringIndexSurgery:
         index = CoveringIndex()
         a = build({0: (1, 2)})
         b = build({0: (3, 4)})
-        index.add(a)
-        index.add(b)
+        add(index, a)
+        add(index, b)
         wide = build({0: (0, 5)})
-        became_root, demoted = index.add(wide)
+        became_root, demoted = add(index, wide)
         assert became_root
         assert sorted(demoted) == sorted(
             [a.subscription_id, b.subscription_id]
@@ -143,7 +152,7 @@ class TestCoveringIndexSurgery:
         mid = build({0: (1, 4)})
         narrow = build({0: (2, 3)})
         for sub in (wide, mid, narrow):
-            index.add(sub)
+            add(index, sub)
         was_root, promoted = index.remove(mid.subscription_id)
         assert not was_root and promoted == []
         assert index.root_count == 1
@@ -164,13 +173,53 @@ class TestCoveringIndexSurgery:
         right = build({0: (3, 5)})
         leftmost = build({0: (0, 1)})
         for sub in (wide, left, right, leftmost):
-            index.add(sub)
+            add(index, sub)
         event = SPACE.make_event(a1=4, a2=0)
         matched, tested, hit = index.expand([wide], event)
         assert set(matched) == {wide.subscription_id, right.subscription_id}
         # left fails and prunes leftmost without testing it.
         assert tested == 2
         assert hit == 1
+
+
+def _with_id(sub, sid):
+    return Subscription(space=SPACE, constraints=sub.constraints, subscription_id=sid)
+
+
+@pytest.mark.parametrize("matcher", ["grid", "brute"])
+def test_first_covering_root_in_insertion_order_wins(matcher):
+    # Three pairwise incomparable roots all cover ``narrow``; they are
+    # inserted out of id order, so neither candidate-set order nor id
+    # order picks the insertion-order first one by accident.
+    a = _with_id(build({0: (0, 4)}), 10**9 + 1)
+    b = _with_id(build({1: (0, 4)}), 10**9 + 2)
+    c = _with_id(build({0: (1, 5)}), 10**9 + 3)
+    narrow = build({0: (2, 3), 1: (2, 3)})
+    store = SubscriptionStore(SPACE, matcher=matcher, covering=True)
+    for sub in (b, c, a, narrow):
+        store.put(_payload(sub), {1}, now=0.0)
+    index = store.covering
+    assert list(index._roots) == [b.subscription_id, c.subscription_id, a.subscription_id]
+    assert index._parent == {narrow.subscription_id: b.subscription_id}
+
+
+@pytest.mark.parametrize("matcher", ["grid", "brute"])
+def test_demoted_roots_keep_insertion_order(matcher):
+    a = _with_id(build({0: (0, 1)}), 10**9 + 11)
+    b = _with_id(build({1: (4, 5)}), 10**9 + 12)
+    c = _with_id(build({0: (3, 3), 1: (0, 2)}), 10**9 + 13)
+    store = SubscriptionStore(SPACE, matcher=matcher, covering=True)
+    for sub in (c, a, b):
+        store.put(_payload(sub), {1}, now=0.0)
+    everything = build({0: (0, 5), 1: (0, 5)})
+    store.put(_payload(everything), {1}, now=0.0)
+    index = store.covering
+    assert list(index._roots) == [everything.subscription_id]
+    assert index._children[everything.subscription_id] == [
+        c.subscription_id, a.subscription_id, b.subscription_id
+    ]
+    assert everything.subscription_id in store._matcher
+    assert len(store._matcher) == 1
 
 
 def _payload(sub, ttl=None):
@@ -266,4 +315,189 @@ class CoveringParityMachine(RuleBasedStateMachine):
 TestCoveringParity = CoveringParityMachine.TestCase
 TestCoveringParity.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
+)
+
+
+# -- forest parity with the linear-scan construction -------------------------
+
+WIDE = EventSpace.uniform(("b1", "b2", "b3"), 1000)
+# Breakpoints close together and far apart, so ranges nest often, share
+# grid buckets (four values wide here) and also span many of them.
+_POINTS = (0, 3, 4, 250, 251, 600, 999)
+
+
+@st.composite
+def wide_subscriptions(draw):
+    """Full, partial, full-domain and constraint-free subscriptions."""
+    # A constraint-free subscription covers everything, so keep it rare
+    # enough that most runs also grow forests with several roots.
+    shape = draw(st.sampled_from(("full",) * 4 + ("partial",) * 5 + ("none",)))
+    constraints = []
+    if shape != "none":
+        for attribute in range(WIDE.dimensions):
+            if shape == "partial" and draw(st.booleans()):
+                continue
+            low = draw(st.sampled_from(_POINTS))
+            high = draw(st.sampled_from([p for p in _POINTS if p >= low]))
+            constraints.append(Constraint(attribute=attribute, low=low, high=high))
+    return Subscription(space=WIDE, constraints=tuple(constraints))
+
+
+class LinearScanForest:
+    """The covering forest built by scanning every root on each install.
+
+    A test-only reference for :class:`CoveringIndex`: same rules (first
+    covering root in insertion order, deepest coverer on its branch,
+    demoted roots in insertion order), no candidate query.
+    """
+
+    def __init__(self):
+        self.subs = {}
+        self.roots = {}
+        self.parent = {}
+        self.children = {}
+
+    def add(self, sub):
+        sid = sub.subscription_id
+        self.subs[sid] = sub
+        parent = next(
+            (rid for rid, root in self.roots.items() if root.covers(sub)), -1
+        )
+        if parent >= 0:
+            while True:
+                deeper = next(
+                    (
+                        kid
+                        for kid in self.children.get(parent, ())
+                        if self.subs[kid].covers(sub)
+                    ),
+                    -1,
+                )
+                if deeper < 0:
+                    break
+                parent = deeper
+            self.parent[sid] = parent
+            self.children.setdefault(parent, []).append(sid)
+            return False, []
+        demoted = [rid for rid, root in self.roots.items() if sub.covers(root)]
+        for rid in demoted:
+            del self.roots[rid]
+            self.parent[rid] = sid
+            self.children.setdefault(sid, []).append(rid)
+        self.roots[sid] = sub
+        return True, demoted
+
+    def remove(self, sid):
+        del self.subs[sid]
+        kids = self.children.pop(sid, [])
+        if sid in self.roots:
+            del self.roots[sid]
+            for kid in kids:
+                del self.parent[kid]
+                self.roots[kid] = self.subs[kid]
+            return
+        parent = self.parent.pop(sid)
+        siblings = self.children[parent]
+        siblings.remove(sid)
+        for kid in kids:
+            self.parent[kid] = parent
+        siblings.extend(kids)
+        if not siblings:
+            del self.children[parent]
+
+
+class ShadowedCoveringIndex(CoveringIndex):
+    """A covering index that replays every call on a linear-scan twin."""
+
+    __slots__ = ("shadow",)
+
+    def __init__(self):
+        super().__init__()
+        self.shadow = LinearScanForest()
+
+    def add(self, subscription, candidates):
+        result = super().add(subscription, candidates)
+        assert result == self.shadow.add(subscription)
+        return result
+
+    def remove(self, subscription_id):
+        self.shadow.remove(subscription_id)
+        return super().remove(subscription_id)
+
+
+class ForestParityMachine(RuleBasedStateMachine):
+    """Stores whose forests are built from candidate queries must grow
+    the exact forest the all-roots scan grows, step for step."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = []
+        for matcher in ("grid", "brute"):
+            store = SubscriptionStore(WIDE, matcher=matcher, covering=True)
+            store._covering = ShadowedCoveringIndex()
+            self.stores.append(store)
+        self.now = 0.0
+        self.payloads: list = []
+
+    @rule(
+        sub=wide_subscriptions(),
+        ttl=st.one_of(st.none(), st.floats(1.0, 20.0)),
+        keys=st.sets(st.integers(0, 6), min_size=1, max_size=3),
+    )
+    def install(self, sub, ttl, keys):
+        payload = _payload(sub, ttl)
+        self.payloads.append(payload)
+        for store in self.stores:
+            store.put(payload, set(keys), self.now)
+
+    @rule(index=st.integers(0, 10**6))
+    def unsubscribe(self, index):
+        if self.payloads:
+            sid = self.payloads[index % len(self.payloads)].subscription.subscription_id
+            for store in self.stores:
+                store.remove(sid)
+
+    @rule(
+        index=st.integers(0, 10**6),
+        keys=st.sets(st.integers(0, 6), min_size=1, max_size=2),
+    )
+    def churn_keys_away(self, index, keys):
+        if self.payloads:
+            sid = self.payloads[index % len(self.payloads)].subscription.subscription_id
+            for store in self.stores:
+                store.remove_keys(sid, set(keys))
+
+    @rule(delta=st.floats(0.1, 10.0))
+    def advance_clock(self, delta):
+        self.now += delta
+
+    @rule()
+    def purge(self):
+        for store in self.stores:
+            store.purge_expired(self.now)
+
+    @rule(values=st.tuples(*(st.sampled_from(_POINTS),) * 3))
+    def publish(self, values):
+        # Matching removes expired entries lazily, in id order.
+        event = WIDE.make_event(b1=values[0], b2=values[1], b3=values[2])
+        for store in self.stores:
+            store.match(event, self.now)
+
+    @invariant()
+    def forest_equals_the_linear_scan_forest(self):
+        for store in self.stores:
+            index = store.covering
+            shadow = index.shadow
+            assert list(index._roots) == list(shadow.roots)
+            assert index._parent == shadow.parent
+            assert index._children == shadow.children
+            # The engine holds exactly the roots: the candidate query's
+            # precondition.
+            assert len(store._matcher) == index.root_count
+            assert all(sid in store._matcher for sid in index._roots)
+
+
+TestForestParity = ForestParityMachine.TestCase
+TestForestParity.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
 )

@@ -130,3 +130,49 @@ def test_state_transfer_hook_interval_matches_new_coverage(overlay_cls):
     assert to_node == joiner
     for key in KS.keys_in_range((left + 1) % KS.size, right)[:50]:
         assert overlay.covers(joiner, key), key
+
+
+def _reference_covered(overlay, node_id, keys):
+    return {key for key in keys if overlay.owner_of(key) == node_id}
+
+
+def _probe_keys(overlay):
+    """A key sweep plus the keys around zero and the ring's extremes
+    (on a ring, the arc that wraps past zero ends at the smallest id)."""
+    ids = overlay.node_ids()
+    edges = {0, 1, KS.size - 1, min(ids), max(ids)}
+    edges |= {(max(ids) + 1) % KS.size, (min(ids) - 1) % KS.size}
+    return sorted(set(range(0, KS.size, 7)) | edges)
+
+
+@pytest.mark.parametrize("overlay_cls", OVERLAYS)
+def test_covered_keys_is_owner_of_per_key(overlay_cls):
+    _, overlay = build(overlay_cls)
+    keys = _probe_keys(overlay)
+    covered: set[int] = set()
+    for node_id in overlay.node_ids():
+        mine = overlay.covered_keys(node_id, keys)
+        assert mine == _reference_covered(overlay, node_id, keys)
+        assert not mine & covered
+        covered |= mine
+    assert covered == set(keys)
+
+
+@pytest.mark.parametrize("overlay_cls", OVERLAYS)
+def test_covered_keys_on_a_one_node_ring(overlay_cls):
+    _, overlay = build(overlay_cls, n=1)
+    (only,) = overlay.node_ids()
+    keys = _probe_keys(overlay)
+    assert overlay.covered_keys(only, keys) == set(keys)
+
+
+@pytest.mark.parametrize("overlay_cls", OVERLAYS)
+@pytest.mark.parametrize("departure", ["leave", "crash"])
+def test_covered_keys_of_a_departed_node_is_empty(overlay_cls, departure):
+    _, overlay = build(overlay_cls)
+    victim = overlay.node_ids()[7]
+    keys = _probe_keys(overlay)
+    getattr(overlay, departure)(victim)
+    assert overlay.covered_keys(victim, keys) == set()
+    heir_keys = overlay.covered_keys(overlay.owner_of(victim), keys)
+    assert heir_keys == _reference_covered(overlay, overlay.owner_of(victim), keys)
