@@ -773,11 +773,32 @@ def main(argv: list[str] | None = None) -> int:
         # delivery fingerprint must equal the uncollapsed reference
         # leg's bit for bit, and the hottest rendezvous node's share of
         # matcher work must be strictly below the uncollapsed store's.
+        # The forest's gauges and the matcher work are deterministic
+        # work counters, so they must equal the baseline's exactly.
         weak: list[str] = []
+        base_scenarios = report["baseline"]["scenarios"]
         for key, result in scenarios.items():
             cov = result.get("covering")
             if cov is None:
                 continue
+            base_cov = base_scenarios.get(key, {}).get("covering")
+            if base_cov is None:
+                weak.append(f"{key}: baseline has no covering counters")
+            else:
+                for name, got, want in (
+                    ("roots", cov["roots"], base_cov["roots"]),
+                    ("collapsed", cov["collapsed"], base_cov["collapsed"]),
+                    ("promotions", cov["promotions"], base_cov["promotions"]),
+                    (
+                        "match_work.total_work",
+                        cov["match_work"]["total_work"],
+                        base_cov["match_work"]["total_work"],
+                    ),
+                ):
+                    if got != want:
+                        weak.append(
+                            f"{key}: covering {name} {got} != baseline {want}"
+                        )
             ref = cov["uncollapsed_reference"]
             if cov["collapsed"] <= 0:
                 weak.append(
@@ -823,7 +844,8 @@ def main(argv: list[str] | None = None) -> int:
             f"[check] OK: {len(delta)} scenarios checked against baseline "
             f"(fingerprints identical, churn-can/flash-crowd "
             f"within the calibrated perf floor); churn scenarios patch "
-            f"incrementally; covering collapses and preserves delivery",
+            f"incrementally; covering collapses and preserves delivery "
+            f"with its counters equal to the baseline's",
             flush=True,
         )
     return 0

@@ -64,6 +64,18 @@ class StoredSubscription:
 class SubscriptionStore:
     """Subscription storage + matching for one rendezvous node.
 
+    The index is built on first read.  :meth:`put` only records the
+    entry and queues its subscription; the queue is folded into the
+    covering forest and the matching engine, in arrival order, before
+    anything reads or changes them (:meth:`match`, :meth:`remove` and
+    so :meth:`remove_keys` and a :meth:`purge_expired` that drops an
+    entry, and the :attr:`covering` property).  Nothing else touches the index between
+    two puts, so each queued install meets exactly the forest and
+    engine an eager install would have met: at every read both are
+    bit-identical to an eagerly indexed store's.  Under Mapping 1 most
+    stores hold subscriptions that no event ever tests, and those
+    stores never pay for indexing them.
+
     Args:
         space: The event space (needed when an indexed matcher is used).
         matcher: ``"grid"`` (the indexed engine) or ``"brute"`` (the
@@ -83,6 +95,10 @@ class SubscriptionStore:
         covering: bool | None = None,
     ) -> None:
         self._entries: dict[int, StoredSubscription] = {}
+        # Put but not yet indexed, in arrival order (see :meth:`_fold`).
+        # The shared empty tuple while nothing is pending, so the many
+        # stores that never receive a put allocate no list.
+        self._pending: list[Subscription] | tuple[()] = ()
         # Lower bound on the earliest expiry of any entry: nothing can
         # have expired before it, so a purge below it skips the scan.
         self._expiry_floor = math.inf
@@ -98,7 +114,13 @@ class SubscriptionStore:
 
     @property
     def covering(self) -> CoveringIndex | None:
-        """The covering index, or None when running uncollapsed."""
+        """The covering index, or None when running uncollapsed.
+
+        Reading it folds the pending installs first, so the forest is
+        the one an eagerly indexed store would hold.
+        """
+        if self._pending:
+            self._fold()
         return self._covering
 
     def attach_match_stats(self, stats) -> None:
@@ -107,21 +129,37 @@ class SubscriptionStore:
         ``stats`` is a :class:`~repro.telemetry.load.MatchWork` handle;
         the matching engines add candidate/verify/match counts to it on
         every ``match()`` call once attached (and pay a single identity
-        check when not).  The covering gauges are synced into the same
-        handle on every install/remove.
+        check when not).  The handle keeps a reference to this store
+        and reads the covering gauges from it at export time, so
+        attaching it never forces an install to index eagerly.
         """
         self._matcher.work = stats
-        if stats is not None and self._covering is not None:
-            self._sync_cover_stats()
+        if stats is not None:
+            stats.store = self
 
-    def _sync_cover_stats(self) -> None:
-        """Mirror the covering gauges into the attached work handle."""
-        work = self._matcher.work
-        if work is not None:
-            covering = self._covering
-            work.cover_roots = covering.root_count
-            work.cover_collapsed = covering.collapsed_total
-            work.cover_promotions = covering.promotions_total
+    def _fold(self) -> None:
+        """Index every pending subscription, in arrival order.
+
+        The one install routine: with covering on, the engine holds
+        exactly the forest's roots, so its candidate query bounds the
+        covering search.
+        """
+        pending = self._pending
+        self._pending = ()
+        matcher = self._matcher
+        covering = self._covering
+        if covering is None:
+            for subscription in pending:
+                matcher.add(subscription)
+            return
+        for subscription in pending:
+            became_root, demoted = covering.add(
+                subscription, matcher.covering_candidates(subscription)
+            )
+            if became_root:
+                matcher.add(subscription)
+                for demoted_id in demoted:
+                    matcher.remove(demoted_id)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -146,10 +184,12 @@ class SubscriptionStore:
     ) -> StoredSubscription:
         """Install (or refresh) a subscription.
 
-        Re-installs are idempotent on the matcher and merge the covered
-        key sets — with per-key unicast propagation (the aggressive
-        baseline) the same node legitimately receives one copy per
-        covered key.  A refresh restarts the TTL clock.
+        A new subscription is only queued for indexing; the next read
+        folds it in (see the class docstring).  Re-installs are
+        idempotent on the index and merge the covered key sets — with
+        per-key unicast propagation (the aggressive baseline) the same
+        node legitimately receives one copy per covered key.  A refresh
+        restarts the TTL clock.
         """
         sid = payload.subscription.subscription_id
         if expire_at is None and payload.ttl is not None:
@@ -162,21 +202,10 @@ class SubscriptionStore:
                 payload=payload, keys_here=set(keys_here), expire_at=expire_at
             )
             self._entries[sid] = entry
-            covering = self._covering
-            if covering is None:
-                self._matcher.add(payload.subscription)
+            if self._pending:
+                self._pending.append(payload.subscription)
             else:
-                # The engine holds exactly the forest's roots, so its
-                # candidate query bounds the covering search.
-                became_root, demoted = covering.add(
-                    payload.subscription,
-                    self._matcher.covering_candidates(payload.subscription),
-                )
-                if became_root:
-                    self._matcher.add(payload.subscription)
-                    for demoted_id in demoted:
-                        self._matcher.remove(demoted_id)
-                self._sync_cover_stats()
+                self._pending = [payload.subscription]
         else:
             entry.keys_here.update(keys_here)
             entry.expire_at = expire_at
@@ -194,6 +223,8 @@ class SubscriptionStore:
     def remove(self, subscription_id: int) -> bool:
         """Drop a subscription entirely; True if it was resident.
 
+        Pending installs are folded first, the removed one included, so
+        the promotions and root order are those of an eager store.
         With covering enabled the forest repairs itself: a removed leaf
         splices its children to its parent, a removed root promotes its
         direct children back into the matching engine — so a coverer
@@ -203,6 +234,8 @@ class SubscriptionStore:
         entry = self._entries.pop(subscription_id, None)
         if entry is None:
             return False
+        if self._pending:
+            self._fold()
         covering = self._covering
         if covering is None:
             self._matcher.remove(subscription_id)
@@ -212,7 +245,6 @@ class SubscriptionStore:
                 self._matcher.remove(subscription_id)
                 for subscription in promoted:
                     self._matcher.add(subscription)
-            self._sync_cover_stats()
         return True
 
     def remove_keys(
@@ -260,8 +292,9 @@ class SubscriptionStore:
     def match(self, event: Event, now: float) -> list[StoredSubscription]:
         """Live entries whose subscription the event satisfies.
 
-        With covering enabled the engine only matched the roots; hit
-        roots are fanned into their covered subtrees by a pruned DFS
+        Pending installs are folded first.  With covering enabled the
+        engine only matched the roots; hit roots are fanned into their
+        covered subtrees by a pruned DFS
         (:meth:`~repro.matching.covering.CoveringIndex.expand`) and the
         combined result is returned in subscription-id order — the same
         order the grid engine already produces, so enabling covering
@@ -270,6 +303,8 @@ class SubscriptionStore:
         covering root mid-match promotes its children for *future*
         events; this event already expanded through it).
         """
+        if self._pending:
+            self._fold()
         matched = self._matcher.match(event)
         entries = self._entries
         covering = self._covering

@@ -43,31 +43,39 @@ class MatchWork:
     engines add to these on every ``match()`` call when the handle is
     attached, and never touch them otherwise (one identity check).
 
-    The ``cover_*`` fields mirror the node's covering index
-    (:class:`~repro.matching.covering.CoveringIndex`): current roots
-    (the matcher-resident summaries), cumulative collapsed installs,
-    and cumulative promotions of covered leaves back to roots.  They
-    stay zero when covering is disabled.
+    ``store`` is the node's :class:`~repro.core.rendezvous.
+    SubscriptionStore` once attached; :meth:`cover_gauges` reads the
+    covering gauges from it when they are exported, never on an
+    install or remove.
     """
 
-    __slots__ = (
-        "node",
-        "candidates",
-        "verified",
-        "matched",
-        "cover_roots",
-        "cover_collapsed",
-        "cover_promotions",
-    )
+    __slots__ = ("node", "candidates", "verified", "matched", "store")
 
     def __init__(self, node: int) -> None:
         self.node = node
         self.candidates = 0
         self.verified = 0
         self.matched = 0
-        self.cover_roots = 0
-        self.cover_collapsed = 0
-        self.cover_promotions = 0
+        self.store = None
+
+    def cover_gauges(self) -> tuple[int, int, int]:
+        """``(roots, collapsed, promotions)`` of the store's covering forest.
+
+        Current roots (the matcher-resident summaries), cumulative
+        collapsed installs and cumulative promotions of covered leaves
+        back to roots (:class:`~repro.matching.covering.CoveringIndex`).
+        Reading folds the store's pending installs, so the gauges are
+        those of an eagerly indexed store.  All zero with no store
+        attached or covering disabled.
+        """
+        covering = None if self.store is None else self.store.covering
+        if covering is None:
+            return 0, 0, 0
+        return (
+            covering.root_count,
+            covering.collapsed_total,
+            covering.promotions_total,
+        )
 
 
 class LoadMeter:
@@ -222,12 +230,13 @@ class LoadMeter:
         return loads
 
     def covering_totals(self) -> dict[str, int]:
-        """Ring-wide covering gauges summed over the per-node handles."""
+        """Ring-wide covering gauges summed over the per-node stores."""
         roots = collapsed = promotions = 0
         for work in self.match_work.values():
-            roots += work.cover_roots
-            collapsed += work.cover_collapsed
-            promotions += work.cover_promotions
+            node_roots, node_collapsed, node_promotions = work.cover_gauges()
+            roots += node_roots
+            collapsed += node_collapsed
+            promotions += node_promotions
         return {
             "roots": roots,
             "collapsed": collapsed,
@@ -268,6 +277,9 @@ class LoadMeter:
             | set(self.match_work)
         ):
             work = self.match_work.get(node)
+            roots, collapsed, promotions = (
+                work.cover_gauges() if work else (0, 0, 0)
+            )
             records.append(
                 {
                     "type": "load",
@@ -281,9 +293,9 @@ class LoadMeter:
                     "match_candidates": work.candidates if work else 0,
                     "match_verified": work.verified if work else 0,
                     "match_matched": work.matched if work else 0,
-                    "cover_roots": work.cover_roots if work else 0,
-                    "cover_collapsed": work.cover_collapsed if work else 0,
-                    "cover_promotions": work.cover_promotions if work else 0,
+                    "cover_roots": roots,
+                    "cover_collapsed": collapsed,
+                    "cover_promotions": promotions,
                 }
             )
         for key in sorted(set(self.key_subscriptions) | set(self.key_publications)):

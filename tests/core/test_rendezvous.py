@@ -174,3 +174,116 @@ def test_refresh_to_a_later_expiry_keeps_the_purge_exact():
     assert store.purge_expired(now=12.0) == 0
     assert store.purge_expired(now=17.9) == 0
     assert store.purge_expired(now=18.0) == 1
+
+
+# -- index on first read -------------------------------------------------------
+
+
+def _sub(**ranges):
+    return SubscribePayload(
+        subscription=Subscription.build(SPACE, **ranges),
+        subscriber=7,
+        ttl=None,
+        groups=((1,),),
+    )
+
+
+def _nested_payloads():
+    """Installs that collapse, demote and nest (ids in arrival order)."""
+    return [
+        _sub(a1=(100, 200)),
+        _sub(a1=(120, 150)),  # under the first
+        _sub(a1=(0, 500)),  # demotes the first root
+        _sub(a2=(10, 20)),  # a second root
+        _sub(a1=(300, 400), a2=(10, 15)),  # under the first coverer: a1
+        _sub(a1=(0, 999), a2=(0, 999)),  # demotes both roots
+        _sub(a1=(600, 700)),  # under the full-domain one
+    ]
+
+
+def _index_state(store):
+    """Forest and engine, compared including insertion order."""
+    covering = store._covering
+    engine = store._matcher
+    forest = None
+    if covering is not None:
+        forest = (
+            list(covering._roots),
+            covering._parent,
+            covering._children,
+            covering.collapsed_total,
+            covering.promotions_total,
+        )
+    return forest, list(engine._subscriptions), vars(engine)
+
+
+def _eager(payloads, matcher, covering, expiring=()):
+    """Reference store: every put is followed by a read that folds it."""
+    store = SubscriptionStore(SPACE, matcher=matcher, covering=covering)
+    for payload in payloads:
+        ttl = 5.0 if payload in expiring else None
+        store.put(payload, {1}, now=0.0, expire_at=ttl)
+        store.covering
+    return store
+
+
+STORE_KINDS = [("grid", True), ("grid", False), ("brute", True), ("brute", False)]
+
+
+@pytest.mark.parametrize("matcher,covering", STORE_KINDS)
+def test_puts_alone_leave_the_index_empty(matcher, covering):
+    store = SubscriptionStore(SPACE, matcher=matcher, covering=covering)
+    for payload in _nested_payloads():
+        store.put(payload, {1}, now=0.0)
+    assert len(store._matcher) == 0
+    if store._covering is not None:
+        assert len(store._covering) == 0
+    assert len(store) == 7
+
+
+@pytest.mark.parametrize("matcher,covering", STORE_KINDS)
+@pytest.mark.parametrize("read", ["match", "remove", "purge_expired"])
+def test_first_read_folds_to_the_eager_index(matcher, covering, read):
+    payloads = _nested_payloads()
+    expiring = (payloads[4],)
+    reference = _eager(payloads, matcher, covering, expiring)
+    store = SubscriptionStore(SPACE, matcher=matcher, covering=covering)
+    for payload in payloads:
+        ttl = 5.0 if payload in expiring else None
+        store.put(payload, {1}, now=0.0, expire_at=ttl)
+    for target in (store, reference):
+        if read == "match":
+            matched = target.match(SPACE.make_event(a1=130, a2=12), now=1.0)
+            assert [e.subscription.subscription_id for e in matched] == [
+                p.subscription.subscription_id
+                for p in (payloads[0], payloads[1], payloads[2], payloads[3],
+                          payloads[5])
+            ]
+        elif read == "remove":
+            assert target.remove(payloads[2].subscription.subscription_id)
+        else:
+            assert target.purge_expired(now=10.0) == 1
+    assert not store._pending
+    assert _index_state(store) == _index_state(reference)
+
+
+@pytest.mark.parametrize("matcher", ["grid", "brute"])
+def test_removing_a_pending_subscription_folds_it_first(matcher):
+    narrow_a1 = _sub(a1=(100, 200))
+    narrow_a2 = _sub(a2=(10, 20))
+    wide_a1 = _sub(a1=(50, 300))  # covers narrow_a1 only
+    payloads = [narrow_a1, narrow_a2, wide_a1]
+    reference = _eager(payloads, matcher, True)
+    store = SubscriptionStore(SPACE, matcher=matcher, covering=True)
+    for payload in payloads:
+        store.put(payload, {1}, now=0.0)
+    wide_id = wide_a1.subscription.subscription_id
+    assert store.remove(wide_id) and reference.remove(wide_id)
+    # The wide root demoted narrow_a1 and its removal promoted it back
+    # behind narrow_a2; dropping it unindexed would keep the old order.
+    assert list(store.covering._roots) == [
+        narrow_a2.subscription.subscription_id,
+        narrow_a1.subscription.subscription_id,
+    ]
+    assert store.covering.promotions_total == 1
+    assert _index_state(store) == _index_state(reference)

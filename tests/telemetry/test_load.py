@@ -12,6 +12,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.events import EventSpace
+from repro.core.payloads import SubscribePayload
+from repro.core.rendezvous import SubscriptionStore
+from repro.core.subscriptions import Subscription
 from repro.core.system import RoutingMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -113,6 +117,51 @@ class TestLoadMeter:
         assert by_id[2]["forwarded"] == 1
         assert by_id[1]["delivered"] == 1
         assert by_id[3]["match_candidates"] == 5
+
+
+def test_cover_gauges_are_read_from_the_folded_store_at_export():
+    space = EventSpace.uniform(("a1", "a2"), 1000)
+
+    def install(store, **ranges):
+        store.put(
+            SubscribePayload(
+                subscription=Subscription.build(space, **ranges),
+                subscriber=1,
+                ttl=None,
+                groups=((0,),),
+            ),
+            {1},
+            now=0.0,
+        )
+
+    meter = LoadMeter()
+    store = SubscriptionStore(space, matcher="grid", covering=True)
+    store.attach_match_stats(meter.match_work_for(5))
+    install(store, a1=(100, 200))
+    install(store, a2=(10, 20))
+    install(store, a1=(50, 300))  # demotes the first root
+    store.match(space.make_event(a1=150, a2=15), now=1.0)
+    store.remove(store.entries()[-1].subscription.subscription_id)
+    # Installs no match ever met: the observatory must not fold them.
+    install(store, a1=(120, 130))
+    install(store, a1=(0, 999), a2=(0, 999))
+    install(store, a2=(12, 14))
+    assert len(store._pending) == 3
+    (record,) = [r for r in meter.load_records() if r["id"] == 5]
+    totals = meter.covering_totals()
+    forest = store.covering
+    assert not store._pending
+    expected = (
+        forest.root_count, forest.collapsed_total, forest.promotions_total
+    )
+    assert expected == (1, 5, 1)
+    assert (
+        record["cover_roots"], record["cover_collapsed"],
+        record["cover_promotions"],
+    ) == expected
+    assert (
+        totals["roots"], totals["collapsed"], totals["promotions"]
+    ) == expected
 
 
 def test_telemetry_bundles_load_meter_only_when_enabled():
